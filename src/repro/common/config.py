@@ -75,9 +75,12 @@ class ClusterConfig:
 
     def peers_of(self, server_id: ServerId) -> tuple[ServerId, ...]:
         """Every member except *server_id*."""
-        if server_id not in self.server_ids:
-            raise ConfigurationError(f"S{server_id} is not a cluster member")
-        return tuple(other for other in self.server_ids if other != server_id)
+        ids = self.server_ids
+        try:
+            position = ids.index(server_id)
+        except ValueError:
+            raise ConfigurationError(f"S{server_id} is not a cluster member") from None
+        return ids[:position] + ids[position + 1 :]
 
     def __contains__(self, server_id: object) -> bool:
         return server_id in self.server_ids

@@ -24,9 +24,9 @@ unchanged, which is the code-level expression of the paper's safety argument.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
-from repro.common.config import ClusterConfig, ProtocolConfig
+from repro.common.config import ClusterConfig, ProtocolConfig, ScaParameters
 from repro.common.types import LogIndex, Milliseconds, ServerId, Term
 from repro.escape.configuration import ConfigStatus, Configuration
 from repro.escape.messages import (
@@ -47,6 +47,28 @@ from repro.raft.node import RaftNode
 from repro.raft.timers import ElectionTimeoutPolicy
 from repro.statemachine.base import StateMachine
 from repro.storage.persistent import PersistentState
+
+#: The SCA table of the most recently built cluster, with the membership and
+#: parameters it was built from.  Every node of a cluster takes its entry from
+#: this one table, so a cluster build runs SCA once rather than once per node.
+_sca_memo: tuple[
+    ClusterConfig, ScaParameters, Mapping[ServerId, Configuration]
+] | None = None
+
+
+def _initial_configuration(
+    cluster: ClusterConfig, sca: ScaParameters, node_id: ServerId
+) -> Configuration:
+    """*node_id*'s initial SCA configuration, from the table memoised per cluster."""
+    global _sca_memo
+    memo = _sca_memo
+    if memo is None or memo[0] != cluster or memo[1] != sca:
+        # Resolved through the module global at call time, so a wrapper
+        # installed on this module's ``assign_initial_configurations`` sees
+        # every table that is built.
+        table = assign_initial_configurations(list(cluster.server_ids), sca)
+        memo = _sca_memo = (cluster, sca, table)
+    return memo[2][node_id]
 
 
 class EscapeNode(RaftNode):
@@ -90,13 +112,18 @@ class EscapeNode(RaftNode):
             listeners=listeners,
         )
         if initial_configuration is None:
-            initial_configuration = assign_initial_configurations(
-                list(cluster.server_ids), self.config.sca
-            )[node_id]
+            initial_configuration = _initial_configuration(
+                cluster, self.config.sca, node_id
+            )
         self.configuration: Configuration = initial_configuration
         self._timeout_override = timeout_override
         self.patrol: ProbingPatrol | None = None
         self.configuration_updates = 0
+        # The last configStatus reported, with the log index and configuration
+        # it describes: replies reuse it until either changes.
+        self._config_status_memo: tuple[
+            LogIndex, Configuration, ConfigStatus
+        ] | None = None
 
     # ------------------------------------------------------------------ #
     # SCA: term growth and election timeouts
@@ -154,26 +181,29 @@ class EscapeNode(RaftNode):
             initial_clock=self.configuration.conf_clock + 1,
             stale_after_ms=4.0 * self.config.heartbeat_interval_ms,
         )
-        self.env.trace(
-            "ppf.start",
-            conf_clock=self.patrol.conf_clock,
-            leader_priority=self.configuration.priority,
-        )
+        if self._trace_on:
+            self.env.trace(
+                "ppf.start",
+                conf_clock=self.patrol.conf_clock,
+                leader_priority=self.configuration.priority,
+            )
 
     def _hook_before_heartbeat_round(self) -> None:
         """Run one PPF round right before broadcasting heartbeats."""
-        if self.patrol is None:
+        patrol = self.patrol
+        if patrol is None:
             return
-        assignments = self.patrol.advance_round(self.env.now(), self.log.last_index)
-        self.env.trace(
-            "ppf.rearrange",
-            conf_clock=self.patrol.conf_clock,
-            future_leader=self.patrol.groomed_future_leader(),
-            assignment={
-                follower: configuration.priority
-                for follower, configuration in assignments.items()
-            },
-        )
+        assignments = patrol.advance_round(self.env.now(), self.log.last_index)
+        if self._trace_on:
+            self.env.trace(
+                "ppf.rearrange",
+                conf_clock=patrol.conf_clock,
+                future_leader=patrol.groomed_future_leader(),
+                assignment={
+                    follower: configuration.priority
+                    for follower, configuration in assignments.items()
+                },
+            )
 
     def _hook_decorate_append_request(
         self, request: AppendEntriesRequest, follower: ServerId
@@ -228,28 +258,40 @@ class EscapeNode(RaftNode):
             # the configuration back (the clock exists precisely for this).
             return
         if new_config != self.configuration:
-            self.env.trace(
-                "config.update",
-                old=self.configuration.describe(),
-                new=new_config.describe(),
-            )
+            if self._trace_on:
+                self.env.trace(
+                    "config.update",
+                    old=self.configuration.describe(),
+                    new=new_config.describe(),
+                )
             self.configuration = new_config
             self.configuration_updates += 1
 
     def _hook_make_append_response(
         self, request: AppendEntriesRequest, success: bool, match_index: LogIndex
     ) -> AppendEntriesResponse:
-        """Attach this follower's ``configStatus`` to the reply."""
+        """Attach this follower's ``configStatus`` to the reply.
+
+        The status is a frozen value, so it is rebuilt only when the log's last
+        index or the held configuration changes; the steady heartbeat stream
+        reuses one instance.
+        """
+        last_index = self.log.last_index
+        configuration = self.configuration
+        memo = self._config_status_memo
+        if memo is None or memo[0] != last_index or memo[1] is not configuration:
+            status = ConfigStatus(
+                log_index=last_index,
+                timer_period_ms=configuration.timer_period_ms,
+                conf_clock=configuration.conf_clock,
+            )
+            memo = self._config_status_memo = (last_index, configuration, status)
         return EscapeAppendEntriesResponse(
             term=self.current_term,
             follower_id=self.node_id,
             success=success,
             match_index=match_index,
-            config_status=ConfigStatus(
-                log_index=self.log.last_index,
-                timer_period_ms=self.configuration.timer_period_ms,
-                conf_clock=self.configuration.conf_clock,
-            ),
+            config_status=memo[2],
         )
 
     # ------------------------------------------------------------------ #

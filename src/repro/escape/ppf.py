@@ -37,6 +37,7 @@ paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from repro.common.config import ScaParameters
@@ -176,7 +177,9 @@ class ProbingPatrol:
 
         Returns:
             The follower → configuration assignment to piggyback on this
-            round's heartbeats.
+            round's heartbeats, as a read-only view.  A rearrangement
+            replaces the assignment rather than mutating it, so the view
+            keeps describing this round.
         """
         ranking = self.ranked_followers(now_ms, leader_last_index)
         ladder = follower_priority_ladder(self._cluster_size)
@@ -189,7 +192,7 @@ class ProbingPatrol:
             self._clock += 1
             self._rebuild_from(ranking)
             self.rearrangement_count += 1
-        return self.assignments
+        return MappingProxyType(self._assignments)
 
     def configuration_for(self, follower: ServerId) -> Configuration:
         """The configuration currently assigned to *follower*."""

@@ -81,7 +81,6 @@ class FlatNetwork(SimulatedNetwork):
         fault: FaultInjector | None = None,
     ) -> None:
         super().__init__(world, members, latency=latency, fault=fault)
-        self._member_set = frozenset(self._members)
         scheduler = world.scheduler
         self._flat_scheduler = scheduler
         # Engine-internal coupling: the flat scheduler compacts its heap in

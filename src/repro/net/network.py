@@ -93,6 +93,7 @@ class SimulatedNetwork:
         self._members = tuple(members)
         if not self._members:
             raise NetworkError("network requires at least one member")
+        self._member_set = frozenset(self._members)
         self._latency = latency if latency is not None else UniformLatency(100.0, 200.0)
         self._fault = fault if fault is not None else NoFault()
         self._latency_rng = world.seeds.stream("net", "latency")
@@ -130,8 +131,7 @@ class SimulatedNetwork:
 
         The callback receives ``(src, payload)`` when a message is delivered.
         """
-        if server_id not in self._members:
-            raise NetworkError(f"S{server_id} is not a cluster member")
+        self._require_member(server_id)
         self._handlers[server_id] = handler
 
     def disconnect(self, server_id: ServerId) -> None:
@@ -294,5 +294,5 @@ class SimulatedNetwork:
         handler(envelope.src, envelope.payload)
 
     def _require_member(self, server_id: ServerId) -> None:
-        if server_id not in self._members:
+        if server_id not in self._member_set:
             raise NetworkError(f"S{server_id} is not a cluster member")

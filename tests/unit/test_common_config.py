@@ -29,9 +29,17 @@ class TestClusterConfig:
         assert ClusterConfig.of_size(5).fault_tolerance == 2
         assert ClusterConfig.of_size(8).fault_tolerance == 3
 
-    def test_peers_of_excludes_self(self):
-        config = ClusterConfig.of_size(4)
-        assert config.peers_of(2) == (1, 3, 4)
+    @pytest.mark.parametrize(
+        "server_ids, member, peers",
+        [
+            ((1, 2, 3, 4), 2, (1, 3, 4)),
+            ((7, 3, 5), 7, (3, 5)),
+            ((7, 3, 5), 5, (7, 3)),
+            ((1,), 1, ()),
+        ],
+    )
+    def test_peers_of_excludes_self(self, server_ids, member, peers):
+        assert ClusterConfig(server_ids=server_ids).peers_of(member) == peers
 
     def test_peers_of_unknown_member_raises(self):
         with pytest.raises(ConfigurationError):

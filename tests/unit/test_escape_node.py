@@ -4,13 +4,18 @@ import pytest
 
 from helpers import FakeEnvironment, fast_protocol_config, small_cluster
 
-from repro.escape.configuration import Configuration
+import repro.escape.node as escape_node
+from repro.cluster.builder import build_cluster
+from repro.common.config import ScaParameters
+from repro.common.errors import ConfigurationError
+from repro.escape.configuration import ConfigStatus, Configuration
 from repro.escape.messages import (
     EscapeAppendEntriesRequest,
     EscapeAppendEntriesResponse,
     EscapeRequestVoteRequest,
 )
 from repro.escape.node import EscapeNode
+from repro.escape.sca import assign_initial_configurations
 from repro.raft.messages import RequestVoteResponse
 from repro.raft.state import Role
 from repro.raft.timers import ScriptOnlyPolicy
@@ -18,8 +23,9 @@ from repro.storage.log import LogEntry
 from repro.storage.persistent import InMemoryStore
 
 
-def make_node(node_id=1, size=5, configuration=None, **kwargs):
+def make_node(node_id=1, size=5, configuration=None, trace=True, **kwargs):
     env = FakeEnvironment(node_id=node_id)
+    env.trace_enabled = trace
     node = EscapeNode(
         node_id=node_id,
         cluster=small_cluster(size),
@@ -249,3 +255,139 @@ class TestPpfOnFollower:
         state = node.snapshot_state()
         assert state["priority"] == 3
         assert state["node_id"] == 3
+
+
+class TestScaTablePerCluster:
+    @staticmethod
+    def counting_spy(monkeypatch):
+        calls = []
+
+        def spy(server_ids, params):
+            calls.append((tuple(server_ids), params))
+            return assign_initial_configurations(server_ids, params)
+
+        monkeypatch.setattr(escape_node, "assign_initial_configurations", spy)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_cluster_build_runs_sca_at_most_once(self, monkeypatch, n):
+        calls = self.counting_spy(monkeypatch)
+        # Parameters no other test uses, so no earlier build can be reused.
+        sca = ScaParameters(base_time_ms=1000.0 + n, k_ms=7.0)
+        cluster = build_cluster(
+            "escape", n, protocol_config=fast_protocol_config(sca=sca), trace=False
+        )
+        assert len(calls) <= 1
+        ids = list(cluster.nodes)
+        expected = assign_initial_configurations(ids, sca)
+        for node_id, node in cluster.nodes.items():
+            assert node.configuration == expected[node_id]
+
+    def test_clusters_with_different_sca_parameters_get_their_own_timeouts(self):
+        first = ScaParameters(base_time_ms=100.0, k_ms=20.0)
+        second = ScaParameters(base_time_ms=150.0, k_ms=30.0)
+        clusters = [
+            build_cluster(
+                "escape", 5, protocol_config=fast_protocol_config(sca=sca), trace=False
+            )
+            for sca in (first, second, first)
+        ]
+        for cluster, sca in zip(clusters, (first, second, first)):
+            for node_id, node in cluster.nodes.items():
+                assert node.configuration.timer_period_ms == sca.election_timeout_ms(
+                    node_id, 5
+                )
+
+    def test_explicit_initial_configuration_wins(self, monkeypatch):
+        calls = self.counting_spy(monkeypatch)
+        configuration = Configuration(priority=4, timer_period_ms=123.0, conf_clock=2)
+        node, _ = make_node(node_id=2, size=5, configuration=configuration)
+        assert node.configuration is configuration
+        assert calls == []
+
+
+class TestConfigStatusReuse:
+    @staticmethod
+    def fresh_status(node):
+        return ConfigStatus(
+            log_index=node.log.last_index,
+            timer_period_ms=node.configuration.timer_period_ms,
+            conf_clock=node.configuration.conf_clock,
+        )
+
+    @staticmethod
+    def heartbeat(node, env, **fields):
+        env.clear_sent()
+        node.on_message(1, EscapeAppendEntriesRequest(term=1, leader_id=1, **fields))
+        (reply,) = env.sent_to(1)
+        return reply.config_status
+
+    def test_steady_heartbeats_reuse_one_status(self):
+        node, env = make_node(node_id=2, size=5)
+        node.start()
+        first = self.heartbeat(node, env)
+        assert self.heartbeat(node, env) is first
+        assert first == self.fresh_status(node)
+
+    def test_status_follows_a_log_append(self):
+        node, env = make_node(node_id=2, size=5)
+        node.start()
+        before = self.heartbeat(node, env)
+        after = self.heartbeat(
+            node, env, entries=(LogEntry(term=1, index=1, command="x"),)
+        )
+        assert node.log.last_index == 1
+        assert after == self.fresh_status(node)
+        assert after.log_index == 1 and before.log_index == 0
+
+    def test_status_follows_an_adopted_configuration(self):
+        node, env = make_node(node_id=2, size=5)
+        node.start()
+        self.heartbeat(node, env)
+        new_config = Configuration(priority=5, timer_period_ms=100.0, conf_clock=3)
+        status = self.heartbeat(node, env, new_config=new_config)
+        assert node.configuration == new_config
+        assert status == self.fresh_status(node)
+        assert (status.timer_period_ms, status.conf_clock) == (100.0, 3)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(log_index=-1, timer_period_ms=100.0, conf_clock=0),
+            dict(log_index=0, timer_period_ms=0.0, conf_clock=0),
+            dict(log_index=0, timer_period_ms=-5.0, conf_clock=0),
+        ],
+    )
+    def test_invalid_status_is_still_rejected(self, fields):
+        with pytest.raises(ConfigurationError):
+            ConfigStatus(**fields)
+
+
+class TestTracePayloadsGated:
+    def test_no_escape_traces_when_tracing_is_off(self):
+        node, env = make_leader(trace=False)
+        new_config = Configuration(priority=5, timer_period_ms=100.0, conf_clock=3)
+        follower, follower_env = make_node(node_id=2, size=5, trace=False)
+        follower.start()
+        follower.on_message(
+            1, EscapeAppendEntriesRequest(term=1, leader_id=1, new_config=new_config)
+        )
+        env.fire_next_timer("S5:heartbeat")
+        categories = {category for category, _ in env.traces + follower_env.traces}
+        assert not categories & {"ppf.start", "ppf.rearrange", "config.update"}
+        assert follower.configuration == new_config
+
+    def test_escape_traces_when_tracing_is_on(self):
+        node, env = make_leader()
+        env.fire_next_timer("S5:heartbeat")
+        starts = [detail for category, detail in env.traces if category == "ppf.start"]
+        rounds = [
+            detail for category, detail in env.traces if category == "ppf.rearrange"
+        ]
+        # The patrol's clock starts one past the leader's configuration clock.
+        assert starts == [{"conf_clock": 1, "leader_priority": 5}]
+        assert rounds and rounds[-1]["future_leader"] == node.patrol.groomed_future_leader()
+        assert rounds[-1]["assignment"] == {
+            follower: configuration.priority
+            for follower, configuration in node.patrol.assignments.items()
+        }
